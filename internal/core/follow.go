@@ -31,21 +31,9 @@ type Follower struct {
 	closeErr  error
 }
 
-// Follow opens path for live tailing into lv with the native binary
-// decoder, performs the initial feed, and starts the poll loop. The
-// returned Follower must be closed to release the poll goroutine and
-// file handle. Format-detecting callers (the ingest layer) construct
-// the decoder themselves and use FollowDecoder.
-func Follow(lv *Live, path string, pollEvery time.Duration) (*Follower, error) {
-	rc, err := trace.OpenStream(path)
-	if err != nil {
-		return nil, err
-	}
-	return FollowDecoder(lv, path, rc, trace.NewStreamReader(rc), pollEvery)
-}
-
 // FollowDecoder tails path into lv through a caller-supplied decoder
-// reading from rc: the format-neutral follow entry point. The initial
+// reading from rc: the format-neutral follow entry point behind
+// ingest.Follow, which opens the file and picks the decoder. The initial
 // feed runs synchronously (an error closes rc and fails construction);
 // the poll loop then owns rc, and Close releases it.
 func FollowDecoder(lv *Live, path string, rc io.ReadCloser, dec trace.Decoder, pollEvery time.Duration) (*Follower, error) {

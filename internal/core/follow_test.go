@@ -8,7 +8,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/openstream/aftermath/internal/trace"
 )
+
+// follow tails the native trace at path into lv, as ingest.Follow does
+// once it has detected the native format.
+func follow(lv *Live, path string, pollEvery time.Duration) (*Follower, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return FollowDecoder(lv, path, f, trace.NewStreamReader(f), pollEvery)
+}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -32,7 +44,7 @@ func TestFollowerTailsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
+	f, err := follow(lv, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestFollowerDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
+	f, err := follow(lv, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestFollowerDetectsDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
+	f, err := follow(lv, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +158,7 @@ func TestFollowerCloseReleasesResources(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lv := NewLive()
 		lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
-		f, err := Follow(lv, path, time.Millisecond)
+		f, err := follow(lv, path, time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -9,16 +8,6 @@ import (
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
-
-// Load reads and indexes a trace file.
-func Load(path string) (*Trace, error) {
-	rc, err := trace.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	return FromReader(rc)
-}
 
 // FromReader reads and indexes a trace from a stream.
 //
@@ -30,7 +19,10 @@ func Load(path string) (*Trace, error) {
 // sample arrays concurrently — records for different CPUs are
 // independent, and batches arrive in stream order, so every per-CPU
 // array is built in trace order without post-hoc merging. On a single
-// CPU the whole pipeline collapses to a sequential loop.
+// CPU the same pipeline runs with one decode worker (trace.ReadBatched's
+// StreamReader path) and one shard. Files are opened, and their format
+// detected, by internal/ingest, which hands native streams to this
+// function.
 func FromReader(r io.Reader) (*Trace, error) {
 	return fromReader(r, par.Workers())
 }
@@ -63,9 +55,6 @@ const (
 )
 
 func fromReader(r io.Reader, workers int) (*Trace, error) {
-	if workers <= 1 {
-		return fromReaderSeq(r)
-	}
 	if workers > maxDecodeWorkers {
 		workers = maxDecodeWorkers
 	}
@@ -167,100 +156,6 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	}
 
 	tr.index(hasTopo, maxCPU, workers)
-	return tr, nil
-}
-
-// fromReaderSeq is the sequential load path, used when a single
-// worker is available. It is the reference implementation the
-// parallel pipeline must reproduce exactly (see TestLoadParallelMatch).
-func fromReaderSeq(r io.Reader) (*Trace, error) {
-	tr := newTrace()
-	var hasTopo bool
-	maxCPU := int32(-1)
-	// checkCPU mirrors the parallel decoder's validation so both
-	// paths reject a corrupt negative CPU id with the same error
-	// instead of panicking.
-	checkCPU := func(id int32) error {
-		if id < 0 {
-			return fmt.Errorf("trace: negative CPU id %d", id)
-		}
-		return nil
-	}
-	cpu := func(id int32) *CPUData {
-		for int(id) >= len(tr.CPUs) {
-			tr.CPUs = append(tr.CPUs, CPUData{})
-		}
-		if id > maxCPU {
-			maxCPU = id
-		}
-		return &tr.CPUs[id]
-	}
-
-	err := trace.Read(r, trace.Handler{
-		Topology: func(t trace.Topology) error {
-			tr.Topology = t
-			hasTopo = true
-			return nil
-		},
-		TaskType: func(t trace.TaskType) error {
-			if _, ok := tr.typeByID[t.ID]; !ok {
-				tr.typeByID[t.ID] = len(tr.Types)
-				tr.Types = append(tr.Types, t)
-			}
-			return nil
-		},
-		Task: func(t trace.Task) error {
-			tr.applyTask(t)
-			return nil
-		},
-		State: func(s trace.StateEvent) error {
-			if err := checkCPU(s.CPU); err != nil {
-				return err
-			}
-			cpu(s.CPU).States = append(cpu(s.CPU).States, s)
-			return nil
-		},
-		Discrete: func(d trace.DiscreteEvent) error {
-			if err := checkCPU(d.CPU); err != nil {
-				return err
-			}
-			cpu(d.CPU).Discrete = append(cpu(d.CPU).Discrete, d)
-			return nil
-		},
-		CounterDesc: func(d trace.CounterDesc) error {
-			tr.counterFor(d.ID).Desc = d
-			return nil
-		},
-		Sample: func(s trace.CounterSample) error {
-			if err := checkCPU(s.CPU); err != nil {
-				return err
-			}
-			c := tr.counterFor(s.Counter)
-			for int(s.CPU) >= len(c.PerCPU) {
-				c.PerCPU = append(c.PerCPU, nil)
-			}
-			c.PerCPU[s.CPU] = append(c.PerCPU[s.CPU], s)
-			if s.CPU > maxCPU {
-				maxCPU = s.CPU
-			}
-			return nil
-		},
-		Comm: func(c trace.CommEvent) error {
-			if err := checkCPU(c.CPU); err != nil {
-				return err
-			}
-			cpu(c.CPU).Comm = append(cpu(c.CPU).Comm, c)
-			return nil
-		},
-		Region: func(rg trace.MemRegion) error {
-			tr.Regions = append(tr.Regions, rg)
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.index(hasTopo, maxCPU, 1)
 	return tr, nil
 }
 

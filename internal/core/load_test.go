@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -83,15 +84,82 @@ func equalTraces(t *testing.T, want, got *Trace, label string) {
 	}
 }
 
-// TestLoadParallelMatchesSequential proves the parallel ingest
-// pipeline builds exactly the trace the sequential loader builds.
+// fromReaderSeq is the test oracle for the load pipeline: a plain
+// single-goroutine builder that applies every record of
+// trace.ReadBatched's single-worker stream straight to the trace, with
+// no shards and no stitching.
+func fromReaderSeq(r io.Reader) (*Trace, error) {
+	tr := newTrace()
+	var hasTopo bool
+	maxCPU := int32(-1)
+	cpu := func(id int32) *CPUData {
+		for int(id) >= len(tr.CPUs) {
+			tr.CPUs = append(tr.CPUs, CPUData{})
+		}
+		return &tr.CPUs[id]
+	}
+	err := trace.ReadBatched(r, 1, func(b *trace.RecordBatch) error {
+		for _, t := range b.Topologies {
+			tr.Topology = t
+			hasTopo = true
+		}
+		for _, t := range b.TaskTypes {
+			if _, ok := tr.typeByID[t.ID]; !ok {
+				tr.typeByID[t.ID] = len(tr.Types)
+				tr.Types = append(tr.Types, t)
+			}
+		}
+		for _, t := range b.Tasks {
+			tr.applyTask(t)
+		}
+		for _, id := range b.CounterIDs {
+			tr.counterFor(id)
+		}
+		for _, d := range b.Descs {
+			tr.counterFor(d.ID).Desc = d
+		}
+		for _, s := range b.States {
+			c := cpu(s.CPU)
+			c.States = append(c.States, s)
+		}
+		for _, d := range b.Discrete {
+			c := cpu(d.CPU)
+			c.Discrete = append(c.Discrete, d)
+		}
+		for _, e := range b.Comms {
+			c := cpu(e.CPU)
+			c.Comm = append(c.Comm, e)
+		}
+		for _, s := range b.Samples {
+			c := tr.counterFor(s.Counter)
+			for int(s.CPU) >= len(c.PerCPU) {
+				c.PerCPU = append(c.PerCPU, nil)
+			}
+			c.PerCPU[s.CPU] = append(c.PerCPU[s.CPU], s)
+		}
+		tr.Regions = append(tr.Regions, b.Regions...)
+		if b.MaxCPU > maxCPU {
+			maxCPU = b.MaxCPU
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.index(hasTopo, maxCPU, 1)
+	return tr, nil
+}
+
+// TestLoadParallelMatchesSequential proves the sharded ingest
+// pipeline, on one worker as on many, builds exactly the trace the
+// sequential oracle builds.
 func TestLoadParallelMatchesSequential(t *testing.T) {
 	data := seidelStream(t, 6, 4)
 	want, err := fromReaderSeq(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 8} {
+	for _, workers := range []int{1, 2, 3, 4, 8} {
 		got, err := fromReader(bytes.NewReader(data), workers)
 		if err != nil {
 			t.Fatalf("fromReader(workers=%d): %v", workers, err)
@@ -140,7 +208,7 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 	if want.Span != (Interval{Start: 0, End: 700}) {
 		t.Fatalf("span = %+v", want.Span)
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		got, err := fromReader(bytes.NewReader(data), workers)
 		if err != nil {
 			t.Fatalf("fromReader(workers=%d): %v", workers, err)
@@ -149,8 +217,9 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLoadNegativeCPU: both load paths must reject a corrupt record
-// with a negative CPU id with an error, not a panic.
+// TestLoadNegativeCPU: the oracle and the pipeline, on one worker and
+// on several, must reject a corrupt record with a negative CPU id with
+// an error, not a panic.
 func TestLoadNegativeCPU(t *testing.T) {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -164,8 +233,10 @@ func TestLoadNegativeCPU(t *testing.T) {
 	if _, err := fromReaderSeq(bytes.NewReader(data)); err == nil {
 		t.Error("sequential load accepted negative CPU")
 	}
-	if _, err := fromReader(bytes.NewReader(data), 4); err == nil {
-		t.Error("parallel load accepted negative CPU")
+	for _, workers := range []int{1, 4} {
+		if _, err := fromReader(bytes.NewReader(data), workers); err == nil {
+			t.Errorf("load with %d workers accepted negative CPU", workers)
+		}
 	}
 }
 
@@ -240,7 +311,7 @@ func TestCounterIndexConcurrent(t *testing.T) {
 
 // BenchmarkFromReaderWorkers measures the ingest pipeline at explicit
 // worker counts, independent of GOMAXPROCS, over a larger seidel
-// trace. workers=1 is the sequential reference.
+// trace. workers=1 is what a one-CPU machine runs.
 func BenchmarkFromReaderWorkers(b *testing.B) {
 	data := seidelStream(b, 16, 8)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -40,9 +40,6 @@ func runToFile(p *openstream.Program, cfg openstream.Config, path string) (opens
 	return res, fw.Close()
 }
 
-// loadTrace loads a trace file.
-func loadTrace(path string) (*core.Trace, error) { return core.Load(path) }
-
 // fileSize returns a file's size in bytes (0 on error).
 func fileSize(path string) int64 {
 	fi, err := os.Stat(path)

@@ -9,6 +9,7 @@ import (
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/export"
 	"github.com/openstream/aftermath/internal/filter"
+	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/regress"
@@ -501,7 +502,7 @@ func (r *Runner) TableVI() Report {
 			float64(plainSize)/float64(gzSize)),
 		gzSize < plainSize)
 	start := time.Now()
-	tr, err := loadTrace(gzPath)
+	tr, err := ingest.Open(gzPath)
 	if err != nil {
 		return rep.fail(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/hw"
+	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/topology"
 	"github.com/openstream/aftermath/internal/trace"
@@ -182,7 +183,7 @@ func (r *Runner) runTraced(p *openstream.Program, m *topology.Machine, sched ope
 		if err := fw.Close(); err != nil {
 			return nil, res, err
 		}
-		tr, err := core.Load(path)
+		tr, err := ingest.Open(path)
 		return tr, res, err
 	}
 	var buf bytes.Buffer

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/openstream/aftermath/internal/core"
@@ -111,23 +112,35 @@ func DetectFile(path string) (*Format, error) {
 		return nil, err
 	}
 	defer f.Close()
+	fm, _, err := detectFile(f)
+	return fm, err
+}
+
+// detectFile classifies f by its head, which it returns, and rewinds f
+// to the start. The format is nil when the head is unrecognized.
+func detectFile(f *os.File) (*Format, []byte, error) {
 	head := make([]byte, SniffLen)
 	n, err := io.ReadFull(f, head)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, err
+		return nil, nil, err
 	}
-	fm, ok := Detect(head[:n])
-	if !ok {
-		return nil, nil
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, err
 	}
-	return fm, nil
+	fm, _ := Detect(head[:n])
+	return fm, head[:n], nil
 }
 
 // Open loads and indexes the trace file at path, whatever its format:
-// the single content-based detection path behind aftermath.Open and
-// the hub's directory loader.
+// the single content-based detection path behind aftermath.Open, the
+// hub's directory loader and every other batch load of a file.
 func Open(path string) (*core.Trace, error) {
-	fm, err := DetectFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fm, _, err := detectFile(f)
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +150,6 @@ func Open(path string) (*core.Trace, error) {
 	if fm.OpenFile != nil {
 		return fm.OpenFile(path)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	tr, err := fm.OpenReader(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -211,31 +219,25 @@ func ImportSpans(r io.Reader) (*core.Trace, *otlp.Report, error) {
 // OpenStream opens the trace file at path for live tailing and
 // returns the raw handle together with the format's incremental
 // decoder. Formats that cannot be decoded incrementally while growing
-// (gzip, store snapshots) are rejected; a file that is still empty is
-// admitted as a native stream, whose decoder waits for the header to
-// arrive (matching the pre-registry tailing semantics).
+// (gzip, store snapshots) are rejected. A file that is still empty or
+// holds only a strict prefix of the native magic is admitted as a
+// native stream: its producer has not flushed the header yet, and the
+// decoder waits for it to arrive. A lone gzip magic byte is not such a
+// prefix, so it stays rejected.
 func OpenStream(path string) (io.ReadCloser, trace.Decoder, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	head := make([]byte, SniffLen)
-	n, rerr := io.ReadFull(f, head)
-	if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
-		f.Close()
-		return nil, nil, rerr
-	}
-	head = head[:n]
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	fm, head, err := detectFile(f)
+	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	fm, ok := Detect(head)
-	if !ok {
-		if n == 0 {
-			// Nothing written yet: assume the native producer has not
-			// flushed its header. The stream decoder's own magic check
-			// rejects whatever else eventually arrives.
+	if fm == nil {
+		// "ATMG" is the native magic (trace.SniffNative). The stream
+		// decoder's own magic check rejects whatever else arrives.
+		if len(head) < len("ATMG") && strings.HasPrefix("ATMG", string(head)) {
 			return f, trace.NewStreamReader(f), nil
 		}
 		f.Close()

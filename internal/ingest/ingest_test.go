@@ -207,6 +207,49 @@ func TestOpenStream(t *testing.T) {
 	}
 }
 
+// TestOpenStreamShortFile: tailing admits a file that holds nothing or
+// only a strict prefix of the native magic — its producer has not
+// flushed the header yet — and decodes the trace once the rest is
+// appended. A lone gzip magic byte and a gzip header stay rejected.
+func TestOpenStreamShortFile(t *testing.T) {
+	dir := t.TempDir()
+	data := nativeTraceBytes(t)
+	for _, n := range []int{0, 1, 3} {
+		path := writeFile(t, dir, "short"+string(rune('0'+n)), data[:n])
+		rc, dec, err := OpenStream(path)
+		if err != nil {
+			t.Fatalf("OpenStream(%q): %v", data[:n], err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write(data[n:])
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := dec.Poll(func(*trace.RecordBatch) error { return nil })
+		if err == nil {
+			err = dec.Done()
+		}
+		rc.Close()
+		if err != nil || records == 0 {
+			t.Fatalf("%q then the rest: %d records, %v", data[:n], records, err)
+		}
+	}
+
+	for name, head := range map[string][]byte{
+		"gzip byte":   {0x1f},
+		"gzip header": {0x1f, 0x8b, 0x08},
+		"not magic":   []byte("ATX"),
+	} {
+		if _, _, err := OpenStream(writeFile(t, dir, "bad-"+name, head)); err == nil {
+			t.Errorf("OpenStream(%s) admitted the file for tailing", name)
+		}
+	}
+}
+
 // TestDetectFile: unrecognized content is (nil, nil) so directory scans
 // can skip it, while recognized files report their format.
 func TestDetectFile(t *testing.T) {

@@ -154,11 +154,13 @@ func TestTraceEmission(t *testing.T) {
 		samples    int
 		lastEnd    int64
 	)
-	err = trace.Read(&buf, trace.Handler{
-		Topology: func(trace.Topology) error { topoCount++; return nil },
-		TaskType: func(trace.TaskType) error { types++; return nil },
-		Task:     func(trace.Task) error { tasks++; return nil },
-		State: func(s trace.StateEvent) error {
+	err = trace.ReadBatched(&buf, 1, func(b *trace.RecordBatch) error {
+		topoCount += len(b.Topologies)
+		types += len(b.TaskTypes)
+		tasks += len(b.Tasks)
+		regions += len(b.Regions)
+		samples += len(b.Samples)
+		for _, s := range b.States {
 			switch s.State {
 			case trace.StateTaskExec:
 				execStates++
@@ -168,19 +170,16 @@ func TestTraceEmission(t *testing.T) {
 			if s.End > lastEnd {
 				lastEnd = s.End
 			}
-			return nil
-		},
-		Comm: func(c trace.CommEvent) error {
+		}
+		for _, c := range b.Comms {
 			switch c.Kind {
 			case trace.CommRead:
 				reads++
 			case trace.CommWrite:
 				writes++
 			}
-			return nil
-		},
-		Region: func(trace.MemRegion) error { regions++; return nil },
-		Sample: func(trace.CounterSample) error { samples++; return nil },
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,10 +329,12 @@ func TestFirstTouchPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := make(map[int32]int)
-	err = trace.Read(&buf, trace.Handler{Region: func(r trace.MemRegion) error {
-		nodes[r.Node]++
+	err = trace.ReadBatched(&buf, 1, func(b *trace.RecordBatch) error {
+		for _, r := range b.Regions {
+			nodes[r.Node]++
+		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

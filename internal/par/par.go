@@ -35,7 +35,10 @@ func Workers() int {
 // goroutines, and returns when all calls have finished. workers <= 1
 // or n <= 1 runs inline on the calling goroutine. Items are claimed
 // from a shared atomic counter, so long-running items do not stall the
-// distribution of the remaining ones. fn must not panic.
+// distribution of the remaining ones. If fn panics, the workers stop
+// claiming items, Do waits for the calls in progress and then panics
+// with the first panic's value on the calling goroutine, where it can
+// be recovered, as an inline loop's panic could.
 func Do(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -48,10 +51,18 @@ func Do(workers, n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked interface{}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicOnce.Do(func() { panicked = p })
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -62,6 +73,9 @@ func Do(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // Chunks splits n items into at most workers contiguous chunks of

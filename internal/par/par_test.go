@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/openstream/aftermath/internal/leakcheck"
 )
 
 func TestWorkers(t *testing.T) {
@@ -154,4 +156,33 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestDoWorkerPanic: a panic in one worker's item reaches the caller,
+// where recover catches its value, only after every worker returned:
+// no item is still running and the pool leaks no goroutine.
+func TestDoWorkerPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var running atomic.Int32
+	got := func() (p interface{}) {
+		defer func() { p = recover() }()
+		Do(4, 8, func(i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 5 {
+				panic("item 5")
+			}
+			time.Sleep(5 * time.Millisecond)
+		})
+		return nil
+	}()
+	if got != "item 5" {
+		t.Fatalf("recovered %v, want the worker's panic value", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d items still running after Do panicked", n)
+	}
+	if err := leakcheck.Check(before); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -15,12 +15,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"unsafe"
 )
@@ -82,7 +84,15 @@ func Create(path string) (*Writer, error) {
 // 8-aligned, and returns its ref. Errors are sticky and reported by
 // Finish.
 func (w *Writer) Raw(p []byte) Ref {
-	if w.err != nil || len(p) == 0 {
+	return w.section(len(p), func() error {
+		_, err := w.f.Write(p)
+		return err
+	})
+}
+
+// section appends an n-byte section that write emits, 8-aligned.
+func (w *Writer) section(n int, write func() error) Ref {
+	if w.err != nil || n == 0 {
 		return Ref{}
 	}
 	if pad := (8 - w.off%8) % 8; pad != 0 {
@@ -93,22 +103,87 @@ func (w *Writer) Raw(p []byte) Ref {
 		}
 		w.off += pad
 	}
-	r := Ref{Off: w.off, Bytes: int64(len(p))}
-	if _, err := w.f.Write(p); err != nil {
+	r := Ref{Off: w.off, Bytes: int64(n)}
+	if err := write(); err != nil {
 		w.err = err
 		return Ref{}
 	}
-	w.off += int64(len(p))
+	w.off += int64(n)
 	return r
 }
 
-// Put appends a slice of fixed-width values as a raw section.
+// Put appends a slice of fixed-width values as a raw section. The
+// padding bytes inside T are written as zeros, whatever the memory
+// held, so a section's bytes depend only on its values and a store
+// file is byte-deterministic.
 func Put[T any](w *Writer, s []T) Ref {
 	if len(s) == 0 {
 		return Ref{}
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), int(unsafe.Sizeof(s[0]))*len(s))
-	return w.Raw(b)
+	size := int(unsafe.Sizeof(s[0]))
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), size*len(s))
+	pad := paddingOf(reflect.TypeFor[T]())
+	if pad.mask == nil {
+		return w.Raw(b)
+	}
+	return w.section(len(b), func() error {
+		// Copy whole values through a bounded buffer, mask their
+		// padding there and write the copy.
+		buf := make([]byte, min(max(1, putChunk/size)*size, len(b)))
+		for off := 0; off < len(b); off += len(buf) {
+			buf = buf[:copy(buf[:cap(buf)], b[off:])]
+			for v := pad.off; v < len(buf); v += size {
+				val, m := buf[v:v+len(pad.mask)], pad.mask
+				for i := range val {
+					val[i] &= m[i]
+				}
+			}
+			if _, err := w.f.Write(buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// putChunk is the size of the buffer Put copies padded values through.
+const putChunk = 64 << 10
+
+// padding is where a type's padding bytes lie: mask spans the value
+// bytes [off, off+len(mask)), 0 over padding and 0xff over fields; it
+// is nil when the type has no padding.
+type padding struct {
+	off  int
+	mask []byte
+}
+
+// paddingOf returns the padding of a value of type t: the bytes no
+// field, however deeply nested, covers.
+func paddingOf(t reflect.Type) padding {
+	mask := make([]byte, t.Size())
+	var cover func(t reflect.Type, off uintptr)
+	cover = func(t reflect.Type, off uintptr) {
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				cover(t.Field(i).Type, off+t.Field(i).Offset)
+			}
+		case reflect.Array:
+			for i := 0; i < t.Len(); i++ {
+				cover(t.Elem(), off+uintptr(i)*t.Elem().Size())
+			}
+		default:
+			for i := range t.Size() {
+				mask[off+i] = 0xff
+			}
+		}
+	}
+	cover(t, 0)
+	lo := bytes.IndexByte(mask, 0)
+	if lo < 0 {
+		return padding{}
+	}
+	return padding{lo, mask[lo : bytes.LastIndexByte(mask, 0)+1]}
 }
 
 // Finish writes the metadata blob, seals the header, syncs and renames

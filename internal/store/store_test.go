@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 type fixedRec struct {
@@ -189,5 +193,89 @@ func TestWriterAbortLeavesNoFile(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("temp files left after Abort: %v", ents)
+	}
+}
+
+// TestPutZeroesPadding: the padding bytes of a section's values are
+// written as zeros even when the memory behind them holds garbage, so
+// store files are byte-deterministic. MemRegion ends in 4 bytes of
+// padding after its int32 Node; 5000 values span several of Put's copy
+// chunks.
+func TestPutZeroesPadding(t *testing.T) {
+	var probe trace.MemRegion
+	size := int(unsafe.Sizeof(probe))
+	if end := unsafe.Offsetof(probe.Node) + unsafe.Sizeof(probe.Node); end != 28 || size != 32 {
+		t.Fatalf("MemRegion: size %d, fields end at %d; the test assumes 32 bytes with padding at 28-31", size, end)
+	}
+	regions := make([]trace.MemRegion, 5000)
+	for i := range regions {
+		regions[i] = trace.MemRegion{ID: trace.RegionID(i), Addr: uint64(i) << 12, Size: 4096, Node: int32(i % 4)}
+	}
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&regions[0])), size*len(regions))
+	for i := range regions {
+		copy(raw[i*size+28:i*size+32], []byte{0xde, 0xad, 0xbe, 0xef})
+	}
+
+	path := filepath.Join(t.TempDir(), "pad.atms")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := Put(w, regions)
+	if err := w.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := data[ref.Off : ref.Off+ref.Bytes]
+	for i := range regions {
+		v := sec[i*size : (i+1)*size]
+		if pad := v[28:32]; !bytes.Equal(pad, make([]byte, 4)) {
+			t.Fatalf("region %d: padding written as % x, want zeros", i, pad)
+		}
+		if !bytes.Equal(v[:28], raw[i*size:i*size+28]) {
+			t.Fatalf("region %d: field bytes changed", i)
+		}
+	}
+	if pad := raw[28:32]; !bytes.Equal(pad, []byte{0xde, 0xad, 0xbe, 0xef}) {
+		t.Fatal("Put modified the caller's values")
+	}
+}
+
+// TestPaddingOf: padding is found inside nested structs and array
+// elements, not only between top-level fields.
+func TestPaddingOf(t *testing.T) {
+	type pair struct {
+		X uint8
+		Y uint16
+	}
+	type nested struct {
+		A uint8
+		B [2]pair
+		C int64
+	}
+	// mask spells a mask with f for a field byte and _ for padding.
+	mask := func(s string) []byte {
+		m := make([]byte, len(s))
+		for i := range s {
+			if s[i] == 'f' {
+				m[i] = 0xff
+			}
+		}
+		return m
+	}
+	for _, c := range []struct {
+		t    reflect.Type
+		want padding
+	}{
+		{reflect.TypeOf(int64(0)), padding{}},
+		{reflect.TypeOf(fixedRec{}), padding{13, mask("___")}},
+		{reflect.TypeOf(nested{}), padding{1, mask("_f_fff_ff______")}},
+	} {
+		if got := paddingOf(c.t); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("paddingOf(%v) = %v, want %v", c.t, got, c.want)
+		}
 	}
 }

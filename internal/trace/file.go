@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"compress/gzip"
-	"errors"
-	"io"
 	"os"
 	"strings"
 )
@@ -53,9 +50,9 @@ func (fw *FileWriter) Close() error {
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // SniffGzip reports whether head begins with the gzip stream
-// signature. This is the single gzip detection used everywhere —
-// transparent decompression in Open, the tail rejection in
-// openStreamFile and the ingest format registry — so a renamed or
+// signature. This is the single gzip detection used everywhere — the
+// ingest format registry (transparent decompression, and the refusal
+// to tail a compressed trace) and atmdump — so a renamed or
 // extension-less compressed trace is recognized identically on every
 // path. A head shorter than the two magic bytes is never gzip.
 func SniffGzip(head []byte) bool {
@@ -70,80 +67,3 @@ func SniffNative(head []byte) bool {
 		head[0] == magic[0] && head[1] == magic[1] &&
 		head[2] == magic[2] && head[3] == magic[3]
 }
-
-// Open opens a trace file for reading, transparently decompressing
-// gzip streams. Compression is detected by content, not extension, so
-// renamed files still open.
-func Open(path string) (io.ReadCloser, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, err := br.Peek(2)
-	if err == nil && SniffGzip(head) {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return &gzipReadCloser{gz: gz, file: f}, nil
-	}
-	return &bufReadCloser{r: br, file: f}, nil
-}
-
-// openStreamFile opens path for live tailing: the raw file handle is
-// returned (so later Reads observe appended bytes), after a
-// best-effort gzip rejection. A file that does not yet hold two bytes
-// is admitted — the StreamReader's own magic check catches a gzip
-// producer as soon as the header arrives.
-func openStreamFile(path string) (*os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var head [2]byte
-	if n, _ := io.ReadFull(f, head[:]); SniffGzip(head[:n]) {
-		f.Close()
-		return nil, errors.New("trace: cannot tail a gzip-compressed trace; decompress it first")
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadFile reads all records of the trace file at path into h.
-func ReadFile(path string, h Handler) error {
-	rc, err := Open(path)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	return Read(rc, h)
-}
-
-type gzipReadCloser struct {
-	gz   *gzip.Reader
-	file *os.File
-}
-
-func (g *gzipReadCloser) Read(p []byte) (int, error) { return g.gz.Read(p) }
-
-func (g *gzipReadCloser) Close() error {
-	err := g.gz.Close()
-	if e := g.file.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
-type bufReadCloser struct {
-	r    *bufio.Reader
-	file *os.File
-}
-
-func (b *bufReadCloser) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *bufReadCloser) Close() error { return b.file.Close() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // fuzzSeedTrace builds a small well-formed trace exercising every
@@ -48,35 +49,13 @@ func fuzzSeedTrace(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// collectAll reads every record kind through both the sequential
-// handler reader and the batched reader, returning the two batched
-// record sets for cross-checking. Any panic is the fuzz failure.
-func collectAll(data []byte, workers int) (*RecordBatch, error) {
-	all := &RecordBatch{MaxCPU: -1}
-	err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
-		all.Topologies = append(all.Topologies, b.Topologies...)
-		all.TaskTypes = append(all.TaskTypes, b.TaskTypes...)
-		all.Tasks = append(all.Tasks, b.Tasks...)
-		all.States = append(all.States, b.States...)
-		all.Discrete = append(all.Discrete, b.Discrete...)
-		all.Descs = append(all.Descs, b.Descs...)
-		all.Samples = append(all.Samples, b.Samples...)
-		all.Comms = append(all.Comms, b.Comms...)
-		all.Regions = append(all.Regions, b.Regions...)
-		if b.MaxCPU > all.MaxCPU {
-			all.MaxCPU = b.MaxCPU
-		}
-		return nil
-	})
-	return all, err
-}
-
-// FuzzReadTrace: arbitrary bytes through the sequential reader and the
-// batched reader (sequential and parallel decode paths) must return an
-// error or decode cleanly — never panic, and never allocate
-// proportionally to corrupt length fields. Whenever the sequential
-// reader accepts the input, the batched readers must accept it too and
-// agree record by record.
+// FuzzReadTrace: arbitrary bytes through ReadBatched on one worker (the
+// StreamReader path) and on four (the parallel framing/decode
+// pipeline), and through a StreamReader fed one byte at a time, must
+// return an error or decode cleanly — never panic, and never allocate
+// proportionally to corrupt length fields. All three must agree on
+// whether the input is a valid trace and, when it is, record by
+// record.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzSeedTrace(f)
 	f.Add(valid)
@@ -93,48 +72,22 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), 0x04, 0x02, 0x01)) // valid trace + trailing truncated record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var seq RecordBatch
-		seq.MaxCPU = -1
-		seqErr := Read(bytes.NewReader(data), Handler{
-			Topology: func(v Topology) error { seq.Topologies = append(seq.Topologies, v); return nil },
-			TaskType: func(v TaskType) error { seq.TaskTypes = append(seq.TaskTypes, v); return nil },
-			Task:     func(v Task) error { seq.Tasks = append(seq.Tasks, v); return nil },
-			State:    func(v StateEvent) error { seq.States = append(seq.States, v); return nil },
-			Discrete: func(v DiscreteEvent) error { seq.Discrete = append(seq.Discrete, v); return nil },
-			CounterDesc: func(v CounterDesc) error {
-				seq.Descs = append(seq.Descs, v)
-				return nil
-			},
-			Sample: func(v CounterSample) error { seq.Samples = append(seq.Samples, v); return nil },
-			Comm:   func(v CommEvent) error { seq.Comms = append(seq.Comms, v); return nil },
-			Region: func(v MemRegion) error { seq.Regions = append(seq.Regions, v); return nil },
-		})
+		// Reference: a StreamReader fed one byte per Read, so every
+		// record and the header straddle read boundaries.
+		ref := &RecordBatch{MaxCPU: -1}
+		sr := NewStreamReader(iotest.OneByteReader(bytes.NewReader(data)))
+		_, refErr := sr.Poll(func(b *RecordBatch) error { collectBatches(ref, b); return nil })
+		if refErr == nil {
+			refErr = sr.Done()
+		}
 
 		for _, workers := range []int{1, 4} {
-			got, err := collectAll(data, workers)
-			if (err == nil) != (seqErr == nil) {
-				t.Fatalf("workers=%d: batched err = %v, sequential err = %v", workers, err, seqErr)
+			got, err := readAll(bytes.NewReader(data), workers)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("workers=%d: batched err = %v, byte-wise stream err = %v", workers, err, refErr)
 			}
-			if seqErr != nil {
-				continue
-			}
-			for _, cmp := range []struct {
-				name     string
-				seq, bat interface{}
-			}{
-				{"topologies", seq.Topologies, got.Topologies},
-				{"tasktypes", seq.TaskTypes, got.TaskTypes},
-				{"tasks", seq.Tasks, got.Tasks},
-				{"states", seq.States, got.States},
-				{"discrete", seq.Discrete, got.Discrete},
-				{"descs", seq.Descs, got.Descs},
-				{"samples", seq.Samples, got.Samples},
-				{"comms", seq.Comms, got.Comms},
-				{"regions", seq.Regions, got.Regions},
-			} {
-				if !reflect.DeepEqual(cmp.seq, cmp.bat) {
-					t.Fatalf("workers=%d: %s diverge\nseq: %v\nbat: %v", workers, cmp.name, cmp.seq, cmp.bat)
-				}
+			if refErr == nil && !reflect.DeepEqual(got, ref) {
+				t.Fatalf("workers=%d: records diverge\nstream: %+v\nbatched: %+v", workers, ref, got)
 			}
 		}
 	})

@@ -76,60 +76,26 @@ func readHeader(br *bufio.Reader) error {
 // ReadBatched decodes all records from r and delivers them as
 // RecordBatch values, in stream order, to emit. Payload decoding is
 // spread over up to workers goroutines (workers <= 0 selects
-// GOMAXPROCS); emit always runs on the calling goroutine. It stops at
-// the first framing or decode error, or the first error returned by
-// emit.
+// GOMAXPROCS); emit always runs on the calling goroutine. With a
+// single worker the stream is drained through a StreamReader, the
+// decoder live tailing uses. It stops at the first framing or decode
+// error, or the first error returned by emit.
 func ReadBatched(r io.Reader, workers int, emit func(*RecordBatch) error) error {
 	if workers <= 0 {
 		workers = par.Workers()
+	}
+	if workers <= 1 {
+		sr := NewStreamReader(r)
+		if _, err := sr.Poll(emit); err != nil {
+			return err
+		}
+		return sr.Done()
 	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	if err := readHeader(br); err != nil {
 		return err
 	}
-	if workers <= 1 {
-		return readBatchedSeq(br, emit)
-	}
 	return readBatchedPar(br, workers, emit)
-}
-
-// readBatchedSeq is the single-goroutine path: decode frames directly
-// into batches and emit them inline.
-func readBatchedSeq(br *bufio.Reader, emit func(*RecordBatch) error) error {
-	var payload []byte
-	b := &RecordBatch{MaxCPU: -1}
-	seen := make(map[CounterID]struct{})
-	n := 0
-	for {
-		kind, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			if !b.empty() {
-				return emit(b)
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: reading record kind: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return ErrTruncated
-		}
-		if payload, err = readPayload(br, payload, size); err != nil {
-			return err
-		}
-		if err := decodeInto(kind, payload, b, seen); err != nil {
-			return err
-		}
-		if n++; n >= batchRecords {
-			if err := emit(b); err != nil {
-				return err
-			}
-			b = &RecordBatch{MaxCPU: -1}
-			clear(seen)
-			n = 0
-		}
-	}
 }
 
 // frameJob is a batch of raw frames awaiting decode: payloads are
@@ -271,19 +237,17 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 	return <-frameErr
 }
 
-// decodeInto decodes one record payload and appends it to the batch.
-// Unknown record kinds are skipped, matching Read with a nil Unknown
-// handler. seen deduplicates CounterIDs within the batch.
+// decodeInto decodes one record payload and appends it to the batch:
+// the one native record decoder, behind both ReadBatched and
+// StreamReader. Unknown record kinds are skipped (forward
+// compatibility). seen deduplicates CounterIDs within the batch.
 func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]struct{}) error {
 	d := &dec{b: payload}
-	cpu := func(c int32) (int32, error) {
-		if c < 0 {
-			return 0, fmt.Errorf("trace: negative CPU id %d", c)
-		}
+	// cpuID(false) has already rejected negative ids.
+	cpu := func(c int32) {
 		if c > b.MaxCPU {
 			b.MaxCPU = c
 		}
-		return c, nil
 	}
 	touch := func(id CounterID) {
 		if _, ok := seen[id]; !ok {
@@ -327,10 +291,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err != nil {
 			return d.err
 		}
-		var err error
-		if s.CPU, err = cpu(s.CPU); err != nil {
-			return err
-		}
+		cpu(s.CPU)
 		b.States = append(b.States, s)
 	case recDiscrete:
 		var ev DiscreteEvent
@@ -341,10 +302,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err != nil {
 			return d.err
 		}
-		var err error
-		if ev.CPU, err = cpu(ev.CPU); err != nil {
-			return err
-		}
+		cpu(ev.CPU)
 		b.Discrete = append(b.Discrete, ev)
 	case recCounterDesc:
 		var c CounterDesc
@@ -365,10 +323,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err != nil {
 			return d.err
 		}
-		var err error
-		if s.CPU, err = cpu(s.CPU); err != nil {
-			return err
-		}
+		cpu(s.CPU)
 		touch(s.Counter)
 		b.Samples = append(b.Samples, s)
 	case recComm:
@@ -383,10 +338,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err != nil {
 			return d.err
 		}
-		var err error
-		if c.CPU, err = cpu(c.CPU); err != nil {
-			return err
-		}
+		cpu(c.CPU)
 		b.Comms = append(b.Comms, c)
 	case recMemRegion:
 		var r MemRegion

@@ -2,62 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
-
-// recordDump collects every decoded record in per-kind order.
-type recordDump struct {
-	topos    []Topology
-	types    []TaskType
-	tasks    []Task
-	states   []StateEvent
-	discrete []DiscreteEvent
-	descs    []CounterDesc
-	samples  []CounterSample
-	comms    []CommEvent
-	regions  []MemRegion
-}
-
-func dumpViaRead(t *testing.T, data []byte) *recordDump {
-	t.Helper()
-	var d recordDump
-	err := Read(bytes.NewReader(data), Handler{
-		Topology:    func(v Topology) error { d.topos = append(d.topos, v); return nil },
-		TaskType:    func(v TaskType) error { d.types = append(d.types, v); return nil },
-		Task:        func(v Task) error { d.tasks = append(d.tasks, v); return nil },
-		State:       func(v StateEvent) error { d.states = append(d.states, v); return nil },
-		Discrete:    func(v DiscreteEvent) error { d.discrete = append(d.discrete, v); return nil },
-		CounterDesc: func(v CounterDesc) error { d.descs = append(d.descs, v); return nil },
-		Sample:      func(v CounterSample) error { d.samples = append(d.samples, v); return nil },
-		Comm:        func(v CommEvent) error { d.comms = append(d.comms, v); return nil },
-		Region:      func(v MemRegion) error { d.regions = append(d.regions, v); return nil },
-	})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	return &d
-}
-
-func dumpViaBatches(t *testing.T, data []byte, workers int) *recordDump {
-	t.Helper()
-	var d recordDump
-	err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
-		d.topos = append(d.topos, b.Topologies...)
-		d.types = append(d.types, b.TaskTypes...)
-		d.tasks = append(d.tasks, b.Tasks...)
-		d.states = append(d.states, b.States...)
-		d.discrete = append(d.discrete, b.Discrete...)
-		d.descs = append(d.descs, b.Descs...)
-		d.samples = append(d.samples, b.Samples...)
-		d.comms = append(d.comms, b.Comms...)
-		d.regions = append(d.regions, b.Regions...)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ReadBatched(workers=%d): %v", workers, err)
-	}
-	return &d
-}
 
 // syntheticStream writes a trace large enough to span many batches,
 // mixing every record kind.
@@ -93,55 +40,23 @@ func syntheticStream(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func equalDumps(t *testing.T, want, got *recordDump, label string) {
-	t.Helper()
-	check := func(name string, w, g int) {
-		if w != g {
-			t.Fatalf("%s: %s count = %d, want %d", label, name, g, w)
-		}
-	}
-	check("topologies", len(want.topos), len(got.topos))
-	check("types", len(want.types), len(got.types))
-	check("tasks", len(want.tasks), len(got.tasks))
-	check("states", len(want.states), len(got.states))
-	check("discrete", len(want.discrete), len(got.discrete))
-	check("descs", len(want.descs), len(got.descs))
-	check("samples", len(want.samples), len(got.samples))
-	check("comms", len(want.comms), len(got.comms))
-	check("regions", len(want.regions), len(got.regions))
-	for i := range want.states {
-		if want.states[i] != got.states[i] {
-			t.Fatalf("%s: state %d = %+v, want %+v", label, i, got.states[i], want.states[i])
-		}
-	}
-	for i := range want.samples {
-		if want.samples[i] != got.samples[i] {
-			t.Fatalf("%s: sample %d = %+v, want %+v", label, i, got.samples[i], want.samples[i])
-		}
-	}
-	for i := range want.comms {
-		if want.comms[i] != got.comms[i] {
-			t.Fatalf("%s: comm %d = %+v, want %+v", label, i, got.comms[i], want.comms[i])
-		}
-	}
-	for i := range want.discrete {
-		if want.discrete[i] != got.discrete[i] {
-			t.Fatalf("%s: discrete %d mismatch", label, i)
-		}
-	}
-	for i := range want.tasks {
-		if want.tasks[i] != got.tasks[i] {
-			t.Fatalf("%s: task %d mismatch", label, i)
-		}
-	}
-}
-
-func TestReadBatchedMatchesRead(t *testing.T) {
+// TestReadBatchedWorkersAgree: the parallel decode pipeline delivers
+// exactly the records the single-worker StreamReader path delivers, in
+// the same order, for every worker count.
+func TestReadBatchedWorkersAgree(t *testing.T) {
 	data := syntheticStream(t)
-	want := dumpViaRead(t, data)
-	for _, workers := range []int{1, 2, 4, 7} {
-		got := dumpViaBatches(t, data, workers)
-		equalDumps(t, want, got, "workers="+string(rune('0'+workers)))
+	want, err := readAll(bytes.NewReader(data), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 7} {
+		got, err := readAll(bytes.NewReader(data), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: records differ from the single-worker read", workers)
+		}
 	}
 }
 

@@ -1,30 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
-
-// Handler receives decoded records during Read. Nil callbacks skip the
-// corresponding record kind, supporting partial consumers and traces
-// with omitted record kinds (Section VI-A). Unknown receives records
-// whose kind tag the reader does not understand; if nil they are
-// silently skipped (forward compatibility).
-type Handler struct {
-	Topology    func(Topology) error
-	TaskType    func(TaskType) error
-	Task        func(Task) error
-	State       func(StateEvent) error
-	Discrete    func(DiscreteEvent) error
-	CounterDesc func(CounterDesc) error
-	Sample      func(CounterSample) error
-	Comm        func(CommEvent) error
-	Region      func(MemRegion) error
-	Unknown     func(kind uint64, payload []byte) error
-}
 
 // ErrBadMagic reports that the stream is not an Aftermath trace.
 var ErrBadMagic = errors.New("trace: bad magic (not an Aftermath trace)")
@@ -44,40 +24,10 @@ const maxRecordSize = 1 << 28
 // No machine the trace model targets comes near a million CPUs.
 const MaxCPUID = 1 << 20
 
-// payloadChunk is the allocation granularity of readPayload: corrupt
-// length fields cost at most one chunk before the stream runs dry.
+// payloadChunk bounds how far the framing stage grows a payload
+// buffer ahead of the bytes that actually arrived: a corrupt length
+// field costs at most one chunk before the stream runs dry.
 const payloadChunk = 1 << 20
-
-// readPayload reads a size-byte record payload into buf (reused
-// across records), growing the buffer in bounded chunks as bytes
-// actually arrive, so a corrupt length field cannot trigger a huge
-// up-front allocation.
-func readPayload(br *bufio.Reader, buf []byte, size uint64) ([]byte, error) {
-	if size > maxRecordSize {
-		return buf, fmt.Errorf("trace: record payload of %d bytes exceeds the %d byte limit", size, maxRecordSize)
-	}
-	n := int(size)
-	if cap(buf) >= n {
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return buf, ErrTruncated
-		}
-		return buf, nil
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		c := n - len(buf)
-		if c > payloadChunk {
-			c = payloadChunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(br, buf[start:]); err != nil {
-			return buf, ErrTruncated
-		}
-	}
-	return buf, nil
-}
 
 // dec decodes a record payload.
 type dec struct {
@@ -173,9 +123,9 @@ func (d *dec) count() int {
 	return int(v)
 }
 
-// decodeTopology decodes a topology payload, shared by the sequential
-// and parallel readers. The element counts are validated against the
-// remaining payload, so corrupt streams cannot demand huge arrays.
+// decodeTopology decodes a topology payload for decodeInto. The
+// element counts are validated against the remaining payload, so
+// corrupt streams cannot demand huge arrays.
 func decodeTopology(d *dec) (Topology, error) {
 	var t Topology
 	t.Name = d.str()
@@ -199,161 +149,4 @@ func decodeTopology(d *dec) (Topology, error) {
 		return Topology{}, d.err
 	}
 	return t, nil
-}
-
-// Read decodes all records from r, invoking the handler's callbacks.
-// It stops at the first error returned by a callback or at end of
-// stream.
-func Read(r io.Reader, h Handler) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br); err != nil {
-		return err
-	}
-
-	var payload []byte
-	for {
-		kind, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: reading record kind: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return ErrTruncated
-		}
-		if payload, err = readPayload(br, payload, size); err != nil {
-			return err
-		}
-		if err := dispatch(kind, payload, h); err != nil {
-			return err
-		}
-	}
-}
-
-func dispatch(kind uint64, payload []byte, h Handler) error {
-	d := &dec{b: payload}
-	switch kind {
-	case recTopology:
-		if h.Topology == nil {
-			return nil
-		}
-		t, err := decodeTopology(d)
-		if err != nil {
-			return err
-		}
-		return h.Topology(t)
-	case recTaskType:
-		if h.TaskType == nil {
-			return nil
-		}
-		var tt TaskType
-		tt.ID = TypeID(d.uvarint())
-		tt.Addr = d.uvarint()
-		tt.Name = d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return h.TaskType(tt)
-	case recTask:
-		if h.Task == nil {
-			return nil
-		}
-		var t Task
-		t.ID = TaskID(d.uvarint())
-		t.Type = TypeID(d.uvarint())
-		t.Created = d.varint()
-		t.CreatorCPU = d.cpuID(true)
-		if d.err != nil {
-			return d.err
-		}
-		return h.Task(t)
-	case recState:
-		if h.State == nil {
-			return nil
-		}
-		var s StateEvent
-		s.CPU = d.cpuID(false)
-		s.State = WorkerState(d.uvarint())
-		s.Start = d.varint()
-		s.End = s.Start + int64(d.uvarint())
-		s.Task = TaskID(d.uvarint())
-		if d.err != nil {
-			return d.err
-		}
-		return h.State(s)
-	case recDiscrete:
-		if h.Discrete == nil {
-			return nil
-		}
-		var ev DiscreteEvent
-		ev.CPU = d.cpuID(false)
-		ev.Kind = EventKind(d.uvarint())
-		ev.Time = d.varint()
-		ev.Arg = d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Discrete(ev)
-	case recCounterDesc:
-		if h.CounterDesc == nil {
-			return nil
-		}
-		var c CounterDesc
-		c.ID = CounterID(d.uvarint())
-		c.Monotonic = d.bool()
-		c.Name = d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return h.CounterDesc(c)
-	case recCounterSample:
-		if h.Sample == nil {
-			return nil
-		}
-		var s CounterSample
-		s.CPU = d.cpuID(false)
-		s.Counter = CounterID(d.uvarint())
-		s.Time = d.varint()
-		s.Value = d.varint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Sample(s)
-	case recComm:
-		if h.Comm == nil {
-			return nil
-		}
-		var c CommEvent
-		c.Kind = CommKind(d.uvarint())
-		c.CPU = d.cpuID(false)
-		c.SrcCPU = d.cpuID(true)
-		c.Time = d.varint()
-		c.Task = TaskID(d.uvarint())
-		c.Addr = d.uvarint()
-		c.Size = d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Comm(c)
-	case recMemRegion:
-		if h.Region == nil {
-			return nil
-		}
-		var r MemRegion
-		r.ID = RegionID(d.uvarint())
-		r.Addr = d.uvarint()
-		r.Size = d.uvarint()
-		r.Node = int32(d.varint())
-		if d.err != nil {
-			return d.err
-		}
-		return h.Region(r)
-	default:
-		if h.Unknown != nil {
-			return h.Unknown(kind, payload)
-		}
-		return nil
-	}
 }

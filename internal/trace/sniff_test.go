@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -63,47 +61,5 @@ func TestSniffNative(t *testing.T) {
 		if got := SniffNative(c.head); got != c.want {
 			t.Errorf("SniffNative(%s) = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-// TestOpenShortFile: files shorter than the gzip magic must open as
-// plain streams (the sniff used to Peek(2) and any error path here
-// risks rejecting legitimate sub-2-byte files).
-func TestOpenShortFile(t *testing.T) {
-	for _, content := range [][]byte{{}, {0x1f}} {
-		path := filepath.Join(t.TempDir(), "short")
-		if err := os.WriteFile(path, content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rc, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open(%d-byte file): %v", len(content), err)
-		}
-		rc.Close()
-	}
-}
-
-// TestOpenStreamShortFile: tailing admits files that do not yet hold
-// the two sniffable bytes — the producer may not have flushed its
-// header — but rejects a file that already starts with the gzip magic.
-func TestOpenStreamShortFile(t *testing.T) {
-	dir := t.TempDir()
-
-	short := filepath.Join(dir, "short")
-	if err := os.WriteFile(short, []byte{0x1f}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := OpenStream(short)
-	if err != nil {
-		t.Fatalf("OpenStream(1-byte file): %v", err)
-	}
-	rc.Close()
-
-	gzPath := filepath.Join(dir, "trace.gz")
-	if err := os.WriteFile(gzPath, []byte{0x1f, 0x8b, 0x08}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStream(gzPath); err == nil {
-		t.Fatal("OpenStream admitted a gzip file for tailing")
 	}
 }

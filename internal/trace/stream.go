@@ -19,7 +19,7 @@ import (
 // and return fresh bytes on later Reads once the producer has appended
 // more — an *os.File behaves exactly like this. Gzip-compressed traces
 // cannot be tailed (the decompressor treats the mid-stream end as
-// corruption); see OpenStream.
+// corruption); ingest.OpenStream refuses them.
 //
 // StreamReader is not safe for concurrent use; callers serialize Polls
 // (core.Live.Feed does so under its epoch lock).
@@ -56,8 +56,8 @@ func (sr *StreamReader) Buffered() int { return len(sr.buf) }
 // read so far has been decoded (the stream stopped at a record
 // boundary), ErrTruncated when a partial record remains buffered, and
 // the sticky decode error if one occurred. A stream that never
-// delivered a complete header reports ErrBadMagic, matching Read on an
-// empty stream.
+// delivered a complete header reports ErrBadMagic, as an empty stream
+// does.
 func (sr *StreamReader) Done() error {
 	if sr.err != nil {
 		return sr.err
@@ -220,16 +220,4 @@ func (sr *StreamReader) parseHeader() (int, error) {
 		return 0, fmt.Errorf("trace: unsupported format version %d (max %d)", version, formatVersion)
 	}
 	return len(magic) + n, nil
-}
-
-// OpenStream opens a trace file for tailing with a StreamReader.
-// Unlike Open it never buffers past the current end of file and
-// rejects gzip-compressed traces up front: a gzip stream cannot be
-// incrementally decoded while it is still being written.
-func OpenStream(path string) (io.ReadCloser, error) {
-	f, err := openStreamFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }

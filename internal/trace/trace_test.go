@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,34 +14,18 @@ import (
 	"testing/quick"
 )
 
-// collect gathers everything a Read produces.
-type collect struct {
-	topo     []Topology
-	types    []TaskType
-	tasks    []Task
-	states   []StateEvent
-	discrete []DiscreteEvent
-	descs    []CounterDesc
-	samples  []CounterSample
-	comm     []CommEvent
-	regions  []MemRegion
-	unknown  []uint64
+// readAll decodes r with ReadBatched on the given number of workers
+// and merges every batch, in stream order, into one.
+func readAll(r io.Reader, workers int) (*RecordBatch, error) {
+	all := &RecordBatch{MaxCPU: -1}
+	err := ReadBatched(r, workers, func(b *RecordBatch) error {
+		collectBatches(all, b)
+		return nil
+	})
+	return all, err
 }
 
-func (c *collect) handler() Handler {
-	return Handler{
-		Topology:    func(t Topology) error { c.topo = append(c.topo, t); return nil },
-		TaskType:    func(t TaskType) error { c.types = append(c.types, t); return nil },
-		Task:        func(t Task) error { c.tasks = append(c.tasks, t); return nil },
-		State:       func(s StateEvent) error { c.states = append(c.states, s); return nil },
-		Discrete:    func(d DiscreteEvent) error { c.discrete = append(c.discrete, d); return nil },
-		CounterDesc: func(d CounterDesc) error { c.descs = append(c.descs, d); return nil },
-		Sample:      func(s CounterSample) error { c.samples = append(c.samples, s); return nil },
-		Comm:        func(e CommEvent) error { c.comm = append(c.comm, e); return nil },
-		Region:      func(r MemRegion) error { c.regions = append(c.regions, r); return nil },
-		Unknown:     func(k uint64, _ []byte) error { c.unknown = append(c.unknown, k); return nil },
-	}
-}
+func nopEmit(*RecordBatch) error { return nil }
 
 func TestRoundTripAllKinds(t *testing.T) {
 	var buf bytes.Buffer
@@ -76,36 +63,36 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 	}
 
-	var c collect
-	if err := Read(&buf, c.handler()); err != nil {
+	c, err := readAll(&buf, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.topo) != 1 || !reflect.DeepEqual(c.topo[0], topo) {
-		t.Errorf("topology mismatch: %+v", c.topo)
+	if len(c.Topologies) != 1 || !reflect.DeepEqual(c.Topologies[0], topo) {
+		t.Errorf("topology mismatch: %+v", c.Topologies)
 	}
-	if len(c.types) != 1 || c.types[0] != tt {
-		t.Errorf("task type mismatch: %+v", c.types)
+	if len(c.TaskTypes) != 1 || c.TaskTypes[0] != tt {
+		t.Errorf("task type mismatch: %+v", c.TaskTypes)
 	}
-	if len(c.tasks) != 1 || c.tasks[0] != task {
-		t.Errorf("task mismatch: %+v", c.tasks)
+	if len(c.Tasks) != 1 || c.Tasks[0] != task {
+		t.Errorf("task mismatch: %+v", c.Tasks)
 	}
-	if len(c.states) != 1 || c.states[0] != st {
-		t.Errorf("state mismatch: %+v", c.states)
+	if len(c.States) != 1 || c.States[0] != st {
+		t.Errorf("state mismatch: %+v", c.States)
 	}
-	if len(c.discrete) != 1 || c.discrete[0] != de {
-		t.Errorf("discrete mismatch: %+v", c.discrete)
+	if len(c.Discrete) != 1 || c.Discrete[0] != de {
+		t.Errorf("discrete mismatch: %+v", c.Discrete)
 	}
-	if len(c.descs) != 1 || c.descs[0] != cd {
-		t.Errorf("counter desc mismatch: %+v", c.descs)
+	if len(c.Descs) != 1 || c.Descs[0] != cd {
+		t.Errorf("counter desc mismatch: %+v", c.Descs)
 	}
-	if len(c.samples) != 1 || c.samples[0] != cs {
-		t.Errorf("sample mismatch: %+v", c.samples)
+	if len(c.Samples) != 1 || c.Samples[0] != cs {
+		t.Errorf("sample mismatch: %+v", c.Samples)
 	}
-	if len(c.comm) != 1 || c.comm[0] != ce {
-		t.Errorf("comm mismatch: %+v", c.comm)
+	if len(c.Comms) != 1 || c.Comms[0] != ce {
+		t.Errorf("comm mismatch: %+v", c.Comms)
 	}
-	if len(c.regions) != 1 || c.regions[0] != mr {
-		t.Errorf("region mismatch: %+v", c.regions)
+	if len(c.Regions) != 1 || c.Regions[0] != mr {
+		t.Errorf("region mismatch: %+v", c.Regions)
 	}
 }
 
@@ -144,11 +131,13 @@ func TestNegativeDurationRejected(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if err := Read(strings.NewReader("not a trace"), Handler{}); err != ErrBadMagic {
-		t.Errorf("got %v, want ErrBadMagic", err)
-	}
-	if err := Read(strings.NewReader(""), Handler{}); err != ErrBadMagic {
-		t.Errorf("empty stream: got %v, want ErrBadMagic", err)
+	for _, workers := range []int{1, 4} {
+		if err := ReadBatched(strings.NewReader("not a trace"), workers, nopEmit); err != ErrBadMagic {
+			t.Errorf("workers=%d: got %v, want ErrBadMagic", workers, err)
+		}
+		if err := ReadBatched(strings.NewReader(""), workers, nopEmit); err != ErrBadMagic {
+			t.Errorf("workers=%d: empty stream: got %v, want ErrBadMagic", workers, err)
+		}
 	}
 }
 
@@ -162,14 +151,16 @@ func TestTruncatedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if err := Read(bytes.NewReader(b[:len(b)-1]), Handler{Task: func(Task) error { return nil }}); err != ErrTruncated {
-		t.Errorf("got %v, want ErrTruncated", err)
+	for _, workers := range []int{1, 4} {
+		if err := ReadBatched(bytes.NewReader(b[:len(b)-1]), workers, nopEmit); err != ErrTruncated {
+			t.Errorf("workers=%d: got %v, want ErrTruncated", workers, err)
+		}
 	}
 }
 
 // TestUnknownRecordSkipped verifies forward compatibility: a record
-// with an unknown kind tag is skipped (or routed to Unknown) and the
-// following records still decode.
+// with an unknown kind tag is skipped and the following records still
+// decode.
 func TestUnknownRecordSkipped(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -188,24 +179,14 @@ func TestUnknownRecordSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without an Unknown handler the record is silently skipped.
-	var c collect
-	h := c.handler()
-	h.Unknown = nil
-	if err := Read(bytes.NewReader(buf.Bytes()), h); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.tasks) != 2 {
-		t.Errorf("got %d tasks, want 2", len(c.tasks))
-	}
-
-	// With an Unknown handler the kind is reported.
-	var c2 collect
-	if err := Read(bytes.NewReader(buf.Bytes()), c2.handler()); err != nil {
-		t.Fatal(err)
-	}
-	if len(c2.unknown) != 1 || c2.unknown[0] != 99 {
-		t.Errorf("unknown kinds = %v, want [99]", c2.unknown)
+	for _, workers := range []int{1, 4} {
+		c, err := readAll(bytes.NewReader(buf.Bytes()), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Tasks) != 2 {
+			t.Errorf("workers=%d: got %d tasks, want 2", workers, len(c.Tasks))
+		}
 	}
 }
 
@@ -226,8 +207,10 @@ func TestOmittedKindsTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var states int
-	h := Handler{State: func(StateEvent) error { states++; return nil }}
-	if err := Read(bytes.NewReader(buf.Bytes()), h); err != nil {
+	if err := ReadBatched(bytes.NewReader(buf.Bytes()), 1, func(b *RecordBatch) error {
+		states += len(b.States)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if states != 1 {
@@ -259,18 +242,30 @@ func TestFileRoundTripPlainAndGzip(t *testing.T) {
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var got []StateEvent
-		err = ReadFile(path, Handler{State: func(s StateEvent) error {
-			got = append(got, s)
-			return nil
-		}})
+		got, err := readFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: round trip mismatch (%d events)", name, len(got))
+		if !reflect.DeepEqual(got.States, want) {
+			t.Errorf("%s: round trip mismatch (%d events)", name, len(got.States))
 		}
 	}
+}
+
+// readFile decodes the trace file at path, decompressing it when its
+// head is the gzip magic.
+func readFile(path string) (*RecordBatch, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r io.Reader = bytes.NewReader(raw)
+	if SniffGzip(raw) {
+		if r, err = gzip.NewReader(r); err != nil {
+			return nil, err
+		}
+	}
+	return readAll(r, 1)
 }
 
 // Property: every randomly generated event round trips exactly.
@@ -295,9 +290,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		var got StateEvent
-		err := Read(&buf, Handler{State: func(s StateEvent) error { got = s; return nil }})
-		return err == nil && got == ev
+		got, err := readAll(&buf, 1)
+		return err == nil && len(got.States) == 1 && got.States[0] == ev
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -329,9 +323,8 @@ func TestCommRoundTripProperty(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		var got CommEvent
-		err := Read(&buf, Handler{Comm: func(c CommEvent) error { got = c; return nil }})
-		return err == nil && got == ev
+		got, err := readAll(&buf, 1)
+		return err == nil && len(got.Comms) == 1 && got.Comms[0] == ev
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -359,21 +352,19 @@ func TestInterleavedStreams(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	all, err := readAll(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	last := make(map[int32]int64)
-	var got int
-	err := Read(&buf, Handler{State: func(s StateEvent) error {
+	for _, s := range all.States {
 		if prev, ok := last[s.CPU]; ok && s.Start < prev {
 			t.Errorf("CPU %d out of order: %d after %d", s.CPU, s.Start, prev)
 		}
 		last[s.CPU] = s.Start
-		got++
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if got != wrote {
-		t.Errorf("read %d events, wrote %d", got, wrote)
+	if len(all.States) != wrote {
+		t.Errorf("read %d events, wrote %d", len(all.States), wrote)
 	}
 }
 
@@ -441,7 +432,9 @@ func TestVarintHeaderVersion(t *testing.T) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], formatVersion+1)
 	buf.Write(tmp[:n])
-	if err := Read(&buf, Handler{}); err == nil {
-		t.Error("expected version error")
+	for _, workers := range []int{1, 4} {
+		if err := ReadBatched(bytes.NewReader(buf.Bytes()), workers, nopEmit); err == nil {
+			t.Errorf("workers=%d: expected version error", workers)
+		}
 	}
 }

@@ -439,6 +439,83 @@ func TestServeCachedSingleflightError(t *testing.T) {
 	}
 }
 
+// TestServeCachedPanic: a build that panics answers 500 instead of
+// escaping, retires its flight so the next request on the key is
+// served (500 again while the build keeps panicking) instead of
+// blocking forever, fails its concurrent waiters with 500 too, and is
+// never cached.
+func TestServeCachedPanic(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	view := NewServer(tr, "panic-test")
+	boom := func() ([]byte, int, error) { panic("boom") }
+	// serve runs one request and returns its status, body and X-Cache
+	// header; status -1 when the panic escaped or the request blocked.
+	type result struct {
+		code         int
+		body, xCache string
+	}
+	serve := func(build func() ([]byte, int, error)) result {
+		w := httptest.NewRecorder()
+		done := make(chan interface{}, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			view.serveCached(w, "panic-key", "text/plain", build)
+		}()
+		select {
+		case p := <-done:
+			if p != nil {
+				t.Errorf("panic escaped serveCached: %v", p)
+				return result{code: -1}
+			}
+			return result{w.Code, w.Body.String(), w.Header().Get("X-Cache")}
+		case <-time.After(5 * time.Second):
+			t.Error("request blocked on the key of a panicked build")
+			return result{code: -1}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if r := serve(boom); r.code != 500 || !strings.Contains(r.body, "boom") {
+			t.Fatalf("request %d: got (%d, %q), want 500 naming the panic", i, r.code, r.body)
+		}
+	}
+
+	// Waiters on a flight whose leader panics get the leader's 500.
+	started, release := make(chan struct{}), make(chan struct{})
+	results := make(chan result)
+	go func() {
+		results <- serve(func() ([]byte, int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	const waiters = 4
+	for i := 0; i < waiters; i++ {
+		go func() { results <- serve(boom) }()
+	}
+	// One waiter joins the flight for certain: the leader is inside
+	// build, so begin returns its flight.
+	f, leads := view.cache.begin("panic-key")
+	if leads {
+		t.Fatal("begin made a second leader while the first was building")
+	}
+	close(release)
+	<-f.done
+	if f.status != 500 || f.err == nil {
+		t.Fatalf("waiter saw status %d, err %v; want 500", f.status, f.err)
+	}
+	for i := 0; i < 1+waiters; i++ {
+		if r := <-results; r.code != 500 {
+			t.Fatalf("leader or waiter got %d, want 500", r.code)
+		}
+	}
+
+	if r := serve(func() ([]byte, int, error) { return []byte("ok"), 0, nil }); r.code != 200 || r.xCache != "MISS" {
+		t.Fatalf("request after the panics got (%d, %q), want fresh 200 MISS", r.code, r.xCache)
+	}
+}
+
 // TestRenderProgressiveGolden pins progressive refinement: the exact
 // (level 0) tile the index page swaps in — cache-busting _e and all —
 // is byte-identical to a direct render.Timeline of the same window,

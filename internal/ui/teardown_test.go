@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/ingest"
 )
 
 // TestHubCloseStopsFollowers is the hub-level leak check: followers
@@ -27,7 +28,7 @@ func TestHubCloseStopsFollowers(t *testing.T) {
 		}
 		lv := core.NewLive()
 		lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
-		f, err := core.Follow(lv, path, time.Millisecond)
+		f, err := ingest.Follow(lv, path, time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestLiveSpillStatusOnLive(t *testing.T) {
 	}
 	lv := core.NewLive()
 	lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
-	f, err := core.Follow(lv, path, time.Millisecond)
+	f, err := ingest.Follow(lv, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,8 @@ func (s *Server) key(epoch uint64, verb string, q *query.Query) string {
 
 // serveCached serves the response for key from the cache, invoking
 // build on a miss. build returns the body, or the HTTP status and
-// error to report. Error responses are never cached.
+// error to report. Error responses are never cached, and a build that
+// panics is answered with a 500.
 //
 // Concurrent misses on one key coalesce (singleflight): exactly one
 // request runs build, the rest wait and serve its result as a HIT.
@@ -235,36 +236,45 @@ func (s *Server) serveCached(w http.ResponseWriter, key, contentType string, bui
 		return
 	}
 	f, leader := s.cache.begin(key)
+	xCache := "HIT"
 	if !leader {
 		<-f.done
-		if f.err != nil {
-			writeError(w, f.status, f.err)
-			return
-		}
-		serveEntry(w, f.ent, "HIT")
+	} else if s.lead(key, contentType, f, build) {
+		xCache = "MISS"
+	}
+	if f.err != nil {
+		writeError(w, f.status, f.err)
 		return
 	}
+	serveEntry(w, f.ent, xCache)
+}
+
+// lead fills the flight f for key as its leader and reports whether it
+// ran build (false when a previous leader had filled the cache). The
+// flight is finished in a defer and a panic in build becomes a 500, so
+// no build can block its key forever. Errors reach the waiters but are
+// never cached: the next request retries the build.
+func (s *Server) lead(key, contentType string, f *flightCall, build func() ([]byte, int, error)) (built bool) {
+	defer s.cache.finish(key, f)
+	defer func() {
+		if p := recover(); p != nil {
+			f.status, f.err = http.StatusInternalServerError, fmt.Errorf("internal error building the response: %v", p)
+		}
+	}()
 	// Re-check under the flight: a previous leader may have filled the
 	// cache between our miss and begin.
 	if ent, ok := s.cache.get(key); ok {
 		f.ent = ent
-		s.cache.finish(key, f)
-		serveEntry(w, ent, "HIT")
-		return
+		return false
 	}
 	body, status, err := build()
 	if err != nil {
-		// Errors propagate to the waiting followers but are never
-		// cached: the next request retries the build.
 		f.status, f.err = status, err
-		s.cache.finish(key, f)
-		writeError(w, status, err)
-		return
+		return true
 	}
 	s.cache.put(key, contentType, body)
 	f.ent = &cachedResponse{key: key, contentType: contentType, body: body}
-	s.cache.finish(key, f)
-	serveEntry(w, f.ent, "MISS")
+	return true
 }
 
 // serveEntry writes one cached (or just-built) response body.
